@@ -47,12 +47,13 @@ pointers, metrics) bit-identical to the object kernel.  Its ``run_round``
 takes a fast path only when the columnar state proves the round cannot
 change any membership view:
 
-* ``batched_apply`` is on, tracing is off, and no hierarchy surgery has
-  happened (``structure_dirty``);
+* ``batched_apply`` is on, tracing is off, and no *non-local* hierarchy
+  surgery has happened (``structure_dirty``);
 * the ring's shape is unchanged (``version`` matches ``ring_version0``)
   and none of its members has failed (``ring_dead == 0``);
-* every drained operation is a member operation whose coverage chain —
-  computed by the vectorised parent sweep — does not include this ring;
+* no drained member operation has a coverage chain — computed by the
+  vectorised parent sweep — that includes this ring (network-entity
+  operations never touch a membership view, so they ride along);
 * the ring has never held membership-view state (``ring_has_state``).
 
 Under those conditions the object kernel's per-visit delta application is a
@@ -63,9 +64,22 @@ entity objects — member entities are reached positionally through dense
 per-ring rows, never through identifier-keyed dict probes.  Any round that
 fails a gate falls back to ``super().run_round`` and the ring is
 conservatively marked ``ring_has_state`` — over-marking only costs speed,
-never correctness.  ``pending_rings`` and ``propagate`` get the same
-treatment: identical candidate verification and scheduling, with the
-queued-work scans running over the dense rows.
+never correctness.  Every fallback is counted by reason in
+``ColumnarKernel.decline_counts``.  ``pending_rings`` and ``propagate`` get
+the same treatment: identical candidate verification and scheduling, with
+the queued-work scans running over the dense rows.
+
+Ring repair is as local here as in the paper (Section 5.2).  The structural
+repair (``repair_ring``: survivors re-pointed, parent link patched, the ring
+keeps a leader) moves no ring to another parent ring, so the ring-level
+columns and coverage chains stay exact; it only retires the wiring the
+surgery changed.  The repaired ring itself declines through its version
+gate (and its dead-member count), the parent ring's child plan and each
+orphaned child ring's parent plan fall back to the live entity pointers,
+and every other ring keeps the fused round.  Any other surgery — the
+Totem-style exclusion, a ring left without a leader, wiring the store
+cannot describe — still sets ``structure_dirty`` and switches the fast path
+off for good.
 
 Known limitation: state planted behind the kernel's back via
 ``NetworkEntityState.register_local_member`` on a ring the kernel never ran
@@ -95,6 +109,7 @@ from repro.core.kernel import (
     _RingDirtyMarker,
 )
 from repro.core.message_queue import QueuedMessage
+from repro.core.ring import LogicalRing
 
 __all__ = ["ColumnarStore", "ColumnarKernel"]
 
@@ -104,8 +119,9 @@ class ColumnarStore:
 
     Built once per kernel (or rehydrated from a topology snapshot's shipped
     arrays); the structural columns describe the hierarchy *at build time*
-    and every consumer gates on ``structure_dirty`` / per-ring versions
-    before trusting them.
+    and every consumer gates on ``structure_dirty`` *and* per-ring versions
+    before trusting them (a local repair moves only the repaired ring's
+    version).
     """
 
     __slots__ = (
@@ -376,7 +392,8 @@ class ColumnarStore:
         hierarchies is also lexicographic ring-id order — the same fan-out
         order the object query path derives from ``rings_in_tier``.  Only
         valid while ``structure_dirty`` is False; the serving layer gates on
-        that before trusting the structural columns.
+        that (and on the selected rings' versions) before trusting the
+        structural columns.
         """
         return np.nonzero(self.ring_tier == tier)[0]
 
@@ -425,6 +442,18 @@ def _leader_position(ring) -> int:
         return -1
 
 
+#: Why a round declined the fused path (keys of ``decline_counts``):
+#: ``disabled`` (``batched_apply`` off), ``structure`` (``structure_dirty``,
+#: or a ring the store cannot describe), ``trace``, ``ring_version`` (the
+#: ring was repaired), ``dead_member``, ``leader``, ``holder`` (the caller
+#: named a non-member), ``has_state`` and ``covered`` (the batch may change
+#: a view here).
+DECLINE_REASONS: Tuple[str, ...] = (
+    "disabled", "structure", "trace", "ring_version", "dead_member",
+    "leader", "holder", "has_state", "covered",
+)
+
+
 class ColumnarKernel(TokenRoundKernel):
     """The object kernel with a columnar no-op-round fast path.
 
@@ -434,8 +463,17 @@ class ColumnarKernel(TokenRoundKernel):
     the module docstring for the fast-path gates.
     """
 
+    #: True while :meth:`exclude_entity` runs a structural repair it will
+    #: invalidate locally; the inherited surgery's ``invalidate_coverage``
+    #: call must not switch the fast path off then.
+    _local_surgery = False
+
     def __init__(self, *args, store_payload: Optional[bytes] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        #: Object-path fallbacks by reason (see ``DECLINE_REASONS``).  A
+        #: plain dict on purpose: metric counters feed the run fingerprints
+        #: that must stay identical across backends.
+        self.decline_counts: Dict[str, int] = dict.fromkeys(DECLINE_REASONS, 0)
         with paused_gc():
             if store_payload is not None:
                 self._store = ColumnarStore.from_payload(self.hierarchy, store_payload)
@@ -483,7 +521,8 @@ class ColumnarKernel(TokenRoundKernel):
         """The columnar struct-of-arrays store (read-only structural view).
 
         The snapshot export hook for the serving layer: consumers must gate
-        on ``store.structure_dirty`` before trusting the structural columns.
+        on ``store.structure_dirty`` and on each ring's version (against
+        ``ring_version0_i``) before trusting the structural columns.
         """
         return self._store
 
@@ -495,7 +534,8 @@ class ColumnarKernel(TokenRoundKernel):
         (:meth:`ColumnarStore.tier_leader_rows`) and each leader entity is
         reached positionally through the dense per-ring rows — no rings-dict
         scan, no identifier-keyed entity probes.  Returns ``None`` whenever
-        the columns cannot be trusted (hierarchy surgery happened, or a ring
+        the columns cannot be trusted (non-local hierarchy surgery happened,
+        a selected ring was repaired since the store was built, or a ring
         row fell back to object alignment); callers must then derive the
         fan-out from the hierarchy itself.
         """
@@ -507,12 +547,14 @@ class ColumnarKernel(TokenRoundKernel):
         entity_rows = self._ring_rows
         ring_ids = store.ring_ids
         ring_start = store.ring_start_i
+        version0 = store.ring_version0_i
         out = []
         for r, row in zip(rings_idx.tolist(), rows.tolist()):
             entities = entity_rows[r]
-            if entities is None:
+            ring = ring_objs[r]
+            if entities is None or ring.version != version0[r]:
                 return None
-            out.append((ring_ids[r], ring_objs[r], entities[row - ring_start[r]]))
+            out.append((ring_ids[r], ring, entities[row - ring_start[r]]))
         out.sort(key=lambda item: item[0])
         return [(ring, entity) for _, ring, entity in out]
 
@@ -595,10 +637,12 @@ class ColumnarKernel(TokenRoundKernel):
         """Precomputed dense forward targets for the proven-no-op round.
 
         Parent/child pointers only change through ``exclude_entity``, which
-        sets ``structure_dirty`` before any rewire, so under a clean
-        structure the build-time wiring is authoritative and the fast round
-        can forward by (ring index, position) without identifier-keyed dict
-        probes.  Each plan entry is validated against the live entity
+        either sets ``structure_dirty`` or retires every plan the surgery
+        rewired (see :meth:`exclude_entity`), so a surviving plan is the
+        live wiring and the fast round can forward by (ring index, position)
+        without identifier-keyed dict probes.  Plans address the build-time
+        rows, which never shift: a target in a repaired ring is still the
+        same entity.  Each plan entry is validated against the live entity
         pointers at build time; anything that does not line up stays
         ``None`` and falls back to the generic forward.
 
@@ -686,23 +730,94 @@ class ColumnarKernel(TokenRoundKernel):
         if ring_idx is None:
             return
         store.ring_dead[ring_idx] += 1
-        ring = self.hierarchy.rings[ring_id]
-        if ring.version == store.ring_version0_i[ring_idx]:
-            try:
-                pos = ring.members.index(key)
-            except ValueError:
-                return
-            dense = store.ring_start_i[ring_idx] + pos
-            store.alive[dense] = False
-            store.alive_i[dense] = False
+        # Mark by build-time row position: forward plans address the
+        # build-time rows, and a ring repaired earlier has shifted its live
+        # member list, so ``ring.members`` positions would mark the wrong
+        # node (leaving a dead plan target looking alive).
+        entity = self.entities[key]
+        row = self._ring_rows[ring_idx]
+        if row is not None:
+            for pos, candidate in enumerate(row):
+                if candidate is entity:
+                    dense = store.ring_start_i[ring_idx] + pos
+                    store.alive[dense] = False
+                    store.alive_i[dense] = False
+                    return
+        self._switch_off()
 
     def invalidate_coverage(self) -> None:
-        # Hierarchy surgery: the structural columns no longer describe the
-        # live hierarchy, so the fast path switches off globally.
+        if not self._local_surgery:
+            self._switch_off()
+        super().invalidate_coverage()
+
+    def _switch_off(self) -> None:
+        # Surgery the store cannot follow: the structural columns no longer
+        # describe the live hierarchy, so the fast path switches off
+        # globally.
         self._store.structure_dirty = True
         self._batch_cover.clear()
         self._fully_seen.clear()  # still valid; dropped only to bound memory
-        super().invalidate_coverage()
+
+    def exclude_entity(
+        self,
+        failed: NodeId,
+        repoint_survivors: bool = False,
+        patch_parent_link: bool = False,
+    ) -> LogicalRing:
+        """Hierarchy surgery with repair-local invalidation.
+
+        The structural repair (both flags set, as ``repair_ring`` passes
+        them) re-attaches orphaned child rings to a node of the *same* ring
+        and patches the parent link in place, so no ring changes parent
+        ring: ring-level coverage stays exact (it can only shrink, by the
+        excised node), and the only stale dense wiring is the parent ring's
+        child plan (its child slot moved to the new leader) and each orphan
+        ring's parent plan.  Those fall back to the live entity pointers;
+        the repaired ring declines through its version and dead-member
+        gates.  Cached batch coverage may now over-approximate, which only
+        costs declines.  Anything else sets ``structure_dirty``.
+        """
+        store = self._store
+        if not (repoint_survivors and patch_parent_link) or store.structure_dirty:
+            return super().exclude_entity(failed, repoint_survivors, patch_parent_link)
+        hierarchy = self.hierarchy
+        key = coerce_node(failed)
+        ring_index = store.ring_index
+        ring_id = hierarchy.ring_of_node.get(key)
+        ring_idx = ring_index.get(ring_id) if ring_id is not None else None
+        orphan_ids = list(hierarchy.child_rings.get(key, ()))
+        self._local_surgery = True
+        try:
+            ring = super().exclude_entity(key, repoint_survivors, patch_parent_link)
+        finally:
+            self._local_surgery = False
+        rows = self._ring_rows
+        parent = hierarchy.parent_node.get(ring.ring_id)
+        parent_idx: Optional[int] = -1  # -1: the top ring has no parent
+        if parent is not None:
+            parent_ring_id = hierarchy.ring_of_node.get(parent)
+            parent_idx = (
+                ring_index.get(parent_ring_id) if parent_ring_id is not None else None
+            )
+        orphan_idx = [ring_index.get(orphan) for orphan in orphan_ids]
+        if (
+            ring_idx is None
+            or ring.leader is None
+            or rows[ring_idx] is None
+            # No dead member counted (the node was excluded without failing,
+            # or failed behind ``fail_entity``'s back): the ring would pass
+            # the dead-member gate with a stale row.
+            or not store.ring_dead[ring_idx]
+            or parent_idx is None
+            or None in orphan_idx
+        ):
+            self._switch_off()
+            return ring
+        if parent_idx >= 0:
+            self._child_plan[parent_idx] = None
+        for idx in orphan_idx:
+            self._parent_plan[idx] = None
+        return ring
 
     def apply_operations_at(self, node, ring, operations, now, batched=None):
         # Any application at a ring may create membership-view state there.
@@ -714,9 +829,10 @@ class ColumnarKernel(TokenRoundKernel):
     # -- fast-path helpers --------------------------------------------------
 
     def _object_round(
-        self, ring_idx: Optional[int], ring_id: str, holder, now: float
+        self, ring_idx: Optional[int], ring_id: str, holder, now: float, reason: str
     ) -> RoundResult:
         """Fall back to the object kernel, conservatively marking the ring."""
+        self.decline_counts[reason] += 1
         if ring_idx is not None:
             # The object path may apply operations (or repair) here; assume
             # the ring holds state from now on.  It also drains queues
@@ -735,7 +851,10 @@ class ColumnarKernel(TokenRoundKernel):
         ring_index = store.ring_index
         ap_rings: List[int] = []
         for entry in entries:
-            ap_ring_id = ring_of_node.get(entry.operation.member.ap)
+            member = entry.operation.member
+            if member is None:
+                continue  # NE operation: covers no ring
+            ap_ring_id = ring_of_node.get(member.ap)
             if ap_ring_id is None:
                 continue
             ap_ring_idx = ring_index.get(ap_ring_id)
@@ -794,15 +913,21 @@ class ColumnarKernel(TokenRoundKernel):
             # insert case: the dirty-marking hook is an idempotent set add
             # (one call covers the batch) and a member op whose aggregation
             # key is absent is stored as-is, so the queue state is identical
-            # to per-op ``insert`` calls.  Any op with a pending entry — and
-            # any non-standard queue — goes through the real insert path.
+            # to per-op ``insert`` calls.  Any op with a pending entry, any
+            # network-entity op and any non-standard queue go through the
+            # real insert path.
             target_mq = target_entity.mq
             hook = target_mq.on_enqueue
             if target_mq.aggregate and type(hook) is _RingDirtyMarker:
                 entries_map = target_mq._store()
                 hook()
                 for op in fresh:
-                    key = op.member.guid.value
+                    member = op.member
+                    if member is None:
+                        # NE operation: synthetic queue key, real insert.
+                        target_mq.insert(op, sender=sender, now=now)
+                        continue
+                    key = member.guid.value
                     if key in entries_map:
                         target_mq.insert(op, sender=sender, now=now)
                     else:
@@ -827,7 +952,8 @@ class ColumnarKernel(TokenRoundKernel):
         check liveness through ``alive_i`` first, so the per-forward work
         collapses to the seen/applied filter and the queue insert — no
         entity, ring or seen-set lookups through identifier-keyed maps.
-        Only valid under a clean structure (plan wiring == live wiring).
+        Only valid for a plan that is still live (see
+        :meth:`exclude_entity`).
         """
         if (target_idx, seq_key) in self._fully_seen:
             return 0
@@ -881,7 +1007,12 @@ class ColumnarKernel(TokenRoundKernel):
                 entries_map = target_mq._store()
                 hook()
                 for op in fresh:
-                    key = op.member.guid.value
+                    member = op.member
+                    if member is None:
+                        # NE operation: synthetic queue key, real insert.
+                        target_mq.insert(op, sender=sender, now=now)
+                        continue
+                    key = member.guid.value
                     if key in entries_map:
                         target_mq.insert(op, sender=sender, now=now)
                     else:
@@ -920,9 +1051,10 @@ class ColumnarKernel(TokenRoundKernel):
         and every drain path either resets it or degrades it to -2), and
         only -2 falls back to the dense row scan.  Ring versions are not
         re-checked here: they only move through ``exclude_entity``, which
-        sets ``structure_dirty`` before returning, and ``pending_rings``
-        gates on a clean structure — ``propagate`` still re-validates the
-        version per round as the defensive layer.  Sorted bottom-up then
+        either sets ``structure_dirty`` (``pending_rings`` then delegates
+        to the object scan) or repairs a ring that already counts a dead
+        member, and such rings take the live-member scan — ``propagate``
+        still re-validates the version per round.  Sorted bottom-up then
         lexicographic — the object kernel's deterministic order — with
         tiers read from the store column instead of a rings-dict probe per
         candidate.
@@ -996,6 +1128,7 @@ class ColumnarKernel(TokenRoundKernel):
         entities = self.entities
         ring_dead = store.ring_dead
         ring_version0 = store.ring_version0_i
+        hints = store.ring_work_hint
         rows = self._ring_rows
         ring_objs = self._ring_objs
         hierarchy_ring = self.hierarchy.ring
@@ -1032,15 +1165,14 @@ class ColumnarKernel(TokenRoundKernel):
                 if not pairs:
                     return report
                 for _tier, ring_id, ring_idx in pairs:
-                    # Identical sweep semantics to the object kernel.  The
-                    # object loop re-checks each pending ring for queued
-                    # work before its round, but under a clean structure the
-                    # re-check cannot fail: ``_pending_pairs`` verified work
-                    # at sweep start and a round in another ring only ever
-                    # *adds* entries to this ring's queues (drains touch the
-                    # round's own holder; direct acks are no-ops) — any
-                    # repair path that could rewire state sets
-                    # ``structure_dirty``, which is re-read here per ring.
+                    # Identical sweep semantics to the object kernel, which
+                    # re-checks each pending ring for queued work before its
+                    # round: a round in another ring can *remove* this
+                    # ring's work as well as add to it (an inserted leave
+                    # cancels a queued join of the same member).  The work
+                    # hint answers the re-check without a row scan in the
+                    # common case: -1 has no work, a position hint needs one
+                    # probe (and then names the holder), -2 scans the row.
                     row = rows[ring_idx] if ring_idx is not None else None
                     if (
                         row is not None
@@ -1049,6 +1181,30 @@ class ColumnarKernel(TokenRoundKernel):
                     ):
                         ring = ring_objs[ring_idx]
                         if ring.version == ring_version0[ring_idx]:
+                            hint = hints[ring_idx]
+                            if hint == -1:
+                                continue
+                            if hint >= 0:
+                                entity = row[hint]
+                                if entity.mq_live and entity.mq._entries:
+                                    members = ring.members
+                                    rounds_append(
+                                        fused(
+                                            ring_idx,
+                                            ring_id,
+                                            members,
+                                            row,
+                                            now,
+                                            hint,
+                                            members[hint],
+                                        )
+                                    )
+                                    continue
+                            for entity in row:
+                                if entity.mq_live and entity.mq._entries:
+                                    break
+                            else:
+                                continue
                             rounds_append(
                                 fused(ring_idx, ring_id, ring.members, row, now)
                             )
@@ -1078,7 +1234,12 @@ class ColumnarKernel(TokenRoundKernel):
     ) -> RoundResult:
         store = self._store
         if not self._fast_enabled or store.structure_dirty or self.trace.enabled:
-            if self._fast_enabled and not store.structure_dirty:
+            if not self._fast_enabled:
+                self.decline_counts["disabled"] += 1
+            elif store.structure_dirty:
+                self.decline_counts["structure"] += 1
+            else:
+                self.decline_counts["trace"] += 1
                 # Traced rounds drain queues through the object path while
                 # the hint machinery stays live: degrade the ring's hint so
                 # a positive claim never outlives its queue entries.
@@ -1088,25 +1249,25 @@ class ColumnarKernel(TokenRoundKernel):
             return super().run_round(ring_id, holder=holder, now=now)
         ring_idx = store.ring_index.get(ring_id)
         if ring_idx is None:
+            self.decline_counts["structure"] += 1
             return super().run_round(ring_id, holder=holder, now=now)
         ring = self.hierarchy.rings[ring_id]
         members = ring.members
         size = len(members)
         row = self._ring_rows[ring_idx]
-        if (
-            size == 0
-            or row is None
-            or ring.version != store.ring_version0_i[ring_idx]
-            or store.ring_dead[ring_idx]
-        ):
-            return self._object_round(ring_idx, ring_id, holder, now)
+        if size == 0 or row is None:
+            return self._object_round(ring_idx, ring_id, holder, now, "structure")
+        if ring.version != store.ring_version0_i[ring_idx]:
+            return self._object_round(ring_idx, ring_id, holder, now, "ring_version")
+        if store.ring_dead[ring_idx]:
+            return self._object_round(ring_idx, ring_id, holder, now, "dead_member")
         leader_pos = store.ring_leader_pos_i[ring_idx]
         if leader_pos >= 0:
             leader = members[leader_pos]
             if leader is not ring.leader and leader != ring.leader:
-                return self._object_round(ring_idx, ring_id, holder, now)
+                return self._object_round(ring_idx, ring_id, holder, now, "leader")
         elif ring.leader is not None:
-            return self._object_round(ring_idx, ring_id, holder, now)
+            return self._object_round(ring_idx, ring_id, holder, now, "leader")
 
         # Holder resolution (no member has failed, so the object kernel's
         # failed-holder error cannot apply here).
@@ -1116,7 +1277,7 @@ class ColumnarKernel(TokenRoundKernel):
                 holder_pos = members.index(holder_id)
             except ValueError:
                 # Not a member: the object path raises the proper error.
-                return self._object_round(ring_idx, ring_id, holder, now)
+                return self._object_round(ring_idx, ring_id, holder, now, "holder")
             return self._fused_round(
                 ring_idx, ring_id, members, row, now, holder_pos, holder_id
             )
@@ -1138,9 +1299,9 @@ class ColumnarKernel(TokenRoundKernel):
         passed the cheap dense gates (row present, structure clean, no dead
         member, version unchanged); the structural facts ``run_round``
         re-validates per call — leader identity, holder membership — are
-        invariant under a clean structure (they only change through
-        ``exclude_entity``, which sets ``structure_dirty`` first), so the
-        fused path trusts the build-time columns outright.  The public
+        invariant while the ring's version is unchanged (they only change
+        through ``exclude_entity`` of one of its members), so the fused path
+        trusts the build-time columns outright.  The public
         ``run_round`` keeps the full validation and delegates here.
 
         ``holder_pos < 0`` means "pick the holder": the work hint resolves
@@ -1172,21 +1333,18 @@ class ColumnarKernel(TokenRoundKernel):
         seq_key: Optional[Tuple[int, ...]] = None
         if entries:
             if store.ring_has_state[ring_idx]:
-                return self._object_round(ring_idx, ring_id, holder_id, now)
-            sequences: List[int] = []
-            for entry in entries:
-                operation = entry.operation
-                if operation.member is None:
-                    # Network-entity operation (repair traffic): let the
-                    # object path handle it.
-                    return self._object_round(ring_idx, ring_id, holder_id, now)
-                sequences.append(operation.sequence)
-            seq_key = tuple(sequences)
+                return self._object_round(
+                    ring_idx, ring_id, holder_id, now, "has_state"
+                )
+            # Network-entity operations (repair traffic) ride along: the
+            # object path compiles them out of the delta's member entries,
+            # so they never touch a membership view.
+            seq_key = tuple([entry.operation.sequence for entry in entries])
             covered = self._batch_covered(seq_key, entries)
             if ring_idx in covered:
                 # This ring is in an operation's coverage chain: the apply
                 # is not a no-op here.
-                return self._object_round(ring_idx, ring_id, holder_id, now)
+                return self._object_round(ring_idx, ring_id, holder_id, now, "covered")
 
         # ---- proven no-op round: identical bookkeeping, no entity churn ----
         operations = tuple([entry.operation for entry in entries])
@@ -1216,7 +1374,10 @@ class ColumnarKernel(TokenRoundKernel):
         for operation in operations:
             sequence = operation.sequence
             seen.add(sequence)
-            guid = operation.member.guid.value
+            member = operation.member
+            if member is None:
+                continue  # NE operation: no per-member high-water mark
+            guid = member.guid.value
             if sequence > applied_get(guid, 0):
                 applied[guid] = sequence
             if sequence > max_sequence:
@@ -1262,9 +1423,9 @@ class ColumnarKernel(TokenRoundKernel):
             # observable effect of the whole circulation is the leader's
             # upward forward, so the visit loop collapses to that one call.
             # A validated parent plan subsumes the ``parent_ok``/``parent``
-            # probes: those flags only change through ``exclude_entity``
-            # (structure goes dirty first), so under a clean structure the
-            # build-time plan is the live wiring.
+            # probes: those flags only change through ``exclude_entity``,
+            # which retires the plan (or dirties the structure), so a
+            # surviving plan is the live wiring.
             if lp >= 0:
                 pp = self._parent_plan[ring_idx]
                 if pp is not None:
@@ -1359,9 +1520,10 @@ class ColumnarKernel(TokenRoundKernel):
 
         # Leader failed-before-its-turn fallback (cannot trigger with
         # ring_dead == 0 unless a mid-round repair elsewhere rewired the
-        # leader's parent link; mirror the object path regardless).  Under
-        # a clean structure the leader column is the live leader, so
-        # ``members[lp]``/``row[lp]`` stand in for the ring-object probes.
+        # leader's parent link; mirror the object path regardless).  While
+        # the ring's version is unchanged the leader column is the live
+        # leader, so ``members[lp]``/``row[lp]`` stand in for the
+        # ring-object probes.
         if operations and not forwarded_up and lp >= 0:
             leader_id = members[lp]
             leader_entity = row[lp]

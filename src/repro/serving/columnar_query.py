@@ -3,9 +3,9 @@
 The object query path (:mod:`repro.core.query`) derives a tier's fan-out
 set by scanning the full rings dict, filtering by tier and sorting by ring
 id — at 100k proxies that is a 10k-ring scan *per query*.  When the kernel
-is columnar and no hierarchy surgery has happened, the same set falls out of
-one vectorised sweep: ``ring_tier == tier`` selects the rings, the CSR
-offsets plus ``ring_leader_pos`` turn into dense leader rows, and each
+is columnar and no ring of the tier has been repaired, the same set falls
+out of one vectorised sweep: ``ring_tier == tier`` selects the rings, the
+CSR offsets plus ``ring_leader_pos`` turn into dense leader rows, and each
 leader entity is gathered positionally (:meth:`ColumnarKernel.
 tier_leader_views`).  Store order is hierarchy build order, which for the
 regular builds every benchmark uses matches the object path's ring-id sort —
@@ -14,7 +14,7 @@ the last-writer-wins merge result and hop accounting) is identical by
 construction, not by coincidence.
 
 Every helper returns the object-path derivation whenever the columns cannot
-be trusted (object backend, ``structure_dirty`` after surgery, misaligned
+be trusted (object backend, ``structure_dirty``, a repaired ring, misaligned
 entity rows) — the columnar sweep is an accelerator for the pinned
 reference semantics, never a second source of truth.
 """

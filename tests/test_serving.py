@@ -263,12 +263,24 @@ class TestColumnarFanout:
         victim = ring.leader
         harness.kernel.fail_entity(victim, now=harness.engine.now)
         harness.kernel.detect_and_repair(victim, now=harness.engine.now)
-        assert harness.kernel.store.structure_dirty
-        tier = harness.hierarchy.bottom_tier()
-        leaders, _rings, _views = tier_leader_fanout(harness.kernel, harness.hierarchy, tier)
+        kernel, hierarchy = harness.kernel, harness.hierarchy
+        # The repaired ring's tier no longer trusts the build-time leader
+        # column and derives the fan-out from the hierarchy.
+        tier = hierarchy.bottom_tier()
+        assert kernel.tier_leader_views(tier) is None
+        leaders, _rings, _views = tier_leader_fanout(kernel, hierarchy, tier)
         assert leaders == [
-            r.leader for r in harness.hierarchy.rings_in_tier(tier) if r.leader is not None
+            r.leader for r in hierarchy.rings_in_tier(tier) if r.leader is not None
         ]
+        # The repair is local: the other tier keeps the columnar sweep.
+        top = hierarchy.topmost_ring().tier
+        assert top != tier
+        assert kernel.tier_leader_views(top) is not None
+        leaders, _rings, views = tier_leader_fanout(kernel, hierarchy, top)
+        want = [r.leader for r in hierarchy.rings_in_tier(top) if r.leader is not None]
+        assert leaders == want
+        for leader, view in zip(leaders, views):
+            assert view is kernel.entity(leader).ring_members
 
 
 class TestQueryResultCaching:
