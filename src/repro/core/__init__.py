@@ -13,20 +13,20 @@ The subpackage implements Section 4 of the paper:
   transport-agnostic token-round state machine (round orchestration,
   notification/acknowledgement routing, seen-set dedup) and the batched
   membership deltas it applies in a single pass.
-* :mod:`repro.core.one_round` / :mod:`repro.core.protocol` — the two thin
-  drivers of the kernel: deterministic structural stepping vs. message
-  scheduling on the discrete-event transport (Section 4.3, Figure 3).
+* :mod:`repro.core.one_round` — the structural driver of the kernel:
+  deterministic, synchronous round stepping (Section 4.3, Figure 3).  The
+  message-passing driver is :class:`repro.sim.harness.ScenarioHarness`,
+  which runs the same rounds as events over the discrete-event transport.
 * :mod:`repro.core.query` — the Membership-Query algorithm with the TMS, BMS
   and IMS maintenance schemes (Section 4.4).
 * :mod:`repro.core.handoff` — Member-Handoff fast path using neighbour member
   lists.
-* :mod:`repro.core.failure_detector` / :mod:`repro.core.repair` — token
-  retransmission based fault detection and local ring repair (Section 5.2
-  assumptions).
+* Fault detection and local ring repair (Section 5.2) live in the kernel
+  (``fail_entity`` / ``repair_ring``).
 * :mod:`repro.core.partition` — the Membership-Partition/Merge extension the
   paper lists as future work.
 * :mod:`repro.core.simulation` — the :class:`RGBSimulation` facade assembling
-  topology, hierarchy, protocol nodes and workloads into one runnable system.
+  topology, hierarchy, a driver and workloads into one runnable system.
 """
 
 from repro.core.config import ProtocolConfig, SimulationConfig

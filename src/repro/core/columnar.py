@@ -69,17 +69,16 @@ never correctness.  Every fallback is counted by reason in
 the same treatment: identical candidate verification and scheduling, with
 the queued-work scans running over the dense rows.
 
-Ring repair is as local here as in the paper (Section 5.2).  The structural
-repair (``repair_ring``: survivors re-pointed, parent link patched, the ring
-keeps a leader) moves no ring to another parent ring, so the ring-level
-columns and coverage chains stay exact; it only retires the wiring the
-surgery changed.  The repaired ring itself declines through its version
-gate (and its dead-member count), the parent ring's child plan and each
-orphaned child ring's parent plan fall back to the live entity pointers,
-and every other ring keeps the fused round.  Any other surgery — the
-Totem-style exclusion, a ring left without a leader, wiring the store
-cannot describe — still sets ``structure_dirty`` and switches the fast path
-off for good.
+Ring repair is as local here as in the paper (Section 5.2).  The repair
+(``repair_ring``: survivors re-pointed, parent link patched, the ring keeps
+a leader) moves no ring to another parent ring, so the ring-level columns
+and coverage chains stay exact; it only retires the wiring the surgery
+changed.  The repaired ring itself declines through its version gate (and
+its dead-member count), the parent ring's child plan and each orphaned
+child ring's parent plan fall back to the live entity pointers, and every
+other ring keeps the fused round.  A repair the store cannot follow — a
+ring left without a leader, wiring the store cannot describe — still sets
+``structure_dirty`` and switches the fast path off for good.
 
 Known limitation: state planted behind the kernel's back via
 ``NetworkEntityState.register_local_member`` on a ring the kernel never ran
@@ -463,7 +462,7 @@ class ColumnarKernel(TokenRoundKernel):
     the module docstring for the fast-path gates.
     """
 
-    #: True while :meth:`exclude_entity` runs a structural repair it will
+    #: True while :meth:`exclude_entity` runs a repair it will
     #: invalidate locally; the inherited surgery's ``invalidate_coverage``
     #: call must not switch the fast path off then.
     _local_surgery = False
@@ -758,17 +757,11 @@ class ColumnarKernel(TokenRoundKernel):
         self._batch_cover.clear()
         self._fully_seen.clear()  # still valid; dropped only to bound memory
 
-    def exclude_entity(
-        self,
-        failed: NodeId,
-        repoint_survivors: bool = False,
-        patch_parent_link: bool = False,
-    ) -> LogicalRing:
+    def exclude_entity(self, failed: NodeId) -> LogicalRing:
         """Hierarchy surgery with repair-local invalidation.
 
-        The structural repair (both flags set, as ``repair_ring`` passes
-        them) re-attaches orphaned child rings to a node of the *same* ring
-        and patches the parent link in place, so no ring changes parent
+        The repair re-attaches orphaned child rings to a node of the *same*
+        ring and patches the parent link in place, so no ring changes parent
         ring: ring-level coverage stays exact (it can only shrink, by the
         excised node), and the only stale dense wiring is the parent ring's
         child plan (its child slot moved to the new leader) and each orphan
@@ -778,8 +771,8 @@ class ColumnarKernel(TokenRoundKernel):
         costs declines.  Anything else sets ``structure_dirty``.
         """
         store = self._store
-        if not (repoint_survivors and patch_parent_link) or store.structure_dirty:
-            return super().exclude_entity(failed, repoint_survivors, patch_parent_link)
+        if store.structure_dirty:
+            return super().exclude_entity(failed)
         hierarchy = self.hierarchy
         key = coerce_node(failed)
         ring_index = store.ring_index
@@ -788,7 +781,7 @@ class ColumnarKernel(TokenRoundKernel):
         orphan_ids = list(hierarchy.child_rings.get(key, ()))
         self._local_surgery = True
         try:
-            ring = super().exclude_entity(key, repoint_survivors, patch_parent_link)
+            ring = super().exclude_entity(key)
         finally:
             self._local_surgery = False
         rows = self._ring_rows

@@ -8,19 +8,25 @@ re-admit the member immediately and only propagate the attachment-point change
 asynchronously, instead of treating the arrival as a brand-new join that must
 climb the hierarchy before the member is served.
 
-:class:`HandoffManager` wraps either protocol engine and reports, per handoff,
-whether the fast path applied, which the handoff-storm benchmark aggregates
-into a fast-path hit ratio.
+:class:`HandoffManager` wraps the structural engine (or, through a capture
+hook, the event-driven scenario harness) and reports, per handoff, whether the
+fast path applied, which the handoff-storm benchmark aggregates into a
+fast-path hit ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
-from repro.core.identifiers import NodeId, coerce_guid, coerce_node
-from repro.core.one_round import OneRoundEngine, PropagationReport
-from repro.core.protocol import RGBProtocolCluster
+from repro.core.identifiers import GloballyUniqueId, NodeId, coerce_guid, coerce_node
+from repro.core.kernel import ProtocolError
+from repro.core.one_round import PropagationReport
+from repro.core.query import MembershipStore
+
+#: Enqueues one handoff: ``(guid, old_ap, new_ap, now)``; returns None when
+#: the handoff was not captured (e.g. the new proxy has crashed).
+HandoffCapture = Callable[[GloballyUniqueId, NodeId, NodeId, float], object]
 
 
 @dataclass
@@ -63,14 +69,18 @@ class HandoffStats:
 class HandoffManager:
     """Coordinates member handoffs against a protocol engine.
 
-    Works with both the structural :class:`OneRoundEngine` (handoffs are
-    propagated synchronously and the report of each propagation is returned)
-    and the message-passing :class:`RGBProtocolCluster` (the handoff is
-    enqueued and propagates when the simulation engine runs).
+    ``engine`` supplies the hierarchy and per-entity state (``hierarchy`` and
+    ``entity()``); ``capture`` enqueues each handoff and defaults to the
+    engine's ``member_handoff`` (the structural
+    :class:`repro.core.one_round.OneRoundEngine`).  The facade's event mode
+    passes the scenario harness's kernel and capture instead, so the handoff
+    propagates when the simulation engine runs.  The ``*_propagate`` helpers
+    step the structural engine.
     """
 
-    def __init__(self, engine: Union[OneRoundEngine, RGBProtocolCluster]) -> None:
+    def __init__(self, engine: MembershipStore, capture: Optional[HandoffCapture] = None) -> None:
         self.engine = engine
+        self._capture = capture if capture is not None else engine.member_handoff
         self.stats = HandoffStats()
 
     @property
@@ -100,10 +110,8 @@ class HandoffManager:
         fast = self._neighbor_has_member(new_ap, str(guid_id))
         same_ring = self._same_ring(old_ap, new_ap)
 
-        if isinstance(self.engine, OneRoundEngine):
-            self.engine.member_handoff(guid_id, old_ap, new_ap, now=now)
-        else:
-            self.engine.handoff_member(guid_id, old_ap, new_ap)
+        if self._capture(guid_id, old_ap, new_ap, now) is None:
+            raise ProtocolError(f"handoff of {guid_id} to {new_ap} was not captured")
 
         record = HandoffRecord(
             guid=str(guid_id),
@@ -134,10 +142,7 @@ class HandoffManager:
             self.handoff(guid, from_ap, to_ap, now=now)
         if not propagate:
             return None
-        if isinstance(self.engine, OneRoundEngine):
-            return self.engine.propagate(now=now)
-        self.engine.run_until_quiescent()
-        return None
+        return self.engine.propagate(now=now)
 
     def handoff_and_propagate(
         self,
@@ -145,13 +150,10 @@ class HandoffManager:
         from_ap: "NodeId | str",
         to_ap: "NodeId | str",
         now: float = 0.0,
-    ) -> Optional[PropagationReport]:
+    ) -> PropagationReport:
         """Handoff, then propagate to quiescence (structural engine only)."""
         self.handoff(guid, from_ap, to_ap, now=now)
-        if isinstance(self.engine, OneRoundEngine):
-            return self.engine.propagate(now=now)
-        self.engine.run_until_quiescent()
-        return None
+        return self.engine.propagate(now=now)
 
     def fast_path_ratio(self) -> float:
         return self.stats.fast_path_ratio

@@ -68,9 +68,9 @@ _TIER_NAMES = {
 class RingHierarchy:
     """The assembled ring-based hierarchy.
 
-    Structural queries only — protocol execution lives in
-    :mod:`repro.core.one_round` and :mod:`repro.core.protocol`, which operate
-    on the per-entity local state this class helps initialise.
+    Structural queries only — protocol execution lives in the kernel
+    (:mod:`repro.core.kernel`) and its drivers, which operate on the
+    per-entity local state this class helps initialise.
     """
 
     group: GroupId

@@ -1,10 +1,9 @@
 """The unified token-round kernel (paper Section 4.3, Figure 3).
 
 The seed repository implemented the One-Round Token Passing protocol twice —
-structurally in :mod:`repro.core.one_round` and latency-aware in
-:mod:`repro.core.protocol` — with duplicated round, notification and
+structurally and latency-aware — with duplicated round, notification and
 acknowledgement semantics.  This module is the single, transport-agnostic
-state machine both engines now drive:
+state machine every driver now steps:
 
 * **operation factory** — sequence numbers, member epochs, LUID derivation and
   record lookup for Member-Join/Leave/Failure/Handoff and the failure
@@ -21,13 +20,13 @@ state machine both engines now drive:
   semantics and the ablation baseline);
 * **coverage and repair** — subtree-walk coverage sets (the seed recomputed
   coverage by scanning every access proxy's full ancestry per ring, which is
-  quadratic at 100k proxies) and the hierarchy surgery shared by both repair
-  paths.
+  quadratic at 100k proxies) and the ring-repair hierarchy surgery.
 
 The drivers stay thin: :class:`repro.core.one_round.OneRoundEngine` steps the
 kernel synchronously (shared memory, zero latency) while
-:class:`repro.core.protocol.RGBProtocolCluster` schedules the same decisions
-as messages on the discrete-event transport.
+:class:`repro.sim.harness.ScenarioHarness` runs the same rounds as events and
+carries their messages on the discrete-event transport through the
+:class:`MessageDispatch` seam.
 """
 
 from __future__ import annotations
@@ -266,13 +265,8 @@ class TokenRoundKernel:
         Protocol tunables and shared instrumentation.
     entities:
         Per-entity local state.  Built from the hierarchy when not supplied;
-        the event-driven driver passes the states its protocol nodes wrap so
-        both layers observe the same lists.
-    emit_prune_events:
-        Whether removing a member record that moved *out* of a ring's coverage
-        area emits a membership event at the observing entity.  The structural
-        engine historically reported these; the message-passing engine did
-        not.  Both behaviours are preserved per driver.
+        the scenario harness passes states it bulk-built from the hierarchy
+        (see ``entities_pristine``).
     dispatch:
         The :class:`MessageDispatch` seam through which notifications,
         holder-acknowledgements and (optionally) token hops leave an entity.
@@ -295,7 +289,6 @@ class TokenRoundKernel:
         event_bus: Optional[MembershipEventBus] = None,
         trace: Optional[TraceRecorder] = None,
         entities: Optional[Mapping[NodeId, NetworkEntityState]] = None,
-        emit_prune_events: bool = True,
         dispatch: Optional[MessageDispatch] = None,
         entities_pristine: bool = False,
     ) -> None:
@@ -367,7 +360,6 @@ class TokenRoundKernel:
                     for node, entity in entities_map.items():
                         if node not in ring_of_node:
                             entity.set_mq_wiring(aggregate, entity.mq_hook)
-        self.emit_prune_events = emit_prune_events
         # Per-ring member sets for the bottom-tier bookkeeping of the batched
         # apply path, invalidated by the ring's mutation counter.
         self._ring_set_cache: Dict[str, Tuple[int, Set[NodeId]]] = {}
@@ -856,7 +848,6 @@ class TokenRoundKernel:
         local_store = local._members if local is not None else _EMPTY_STORE
         neighbor_store = neighbor._members if neighbor is not None else _EMPTY_STORE
         ring_store = ring_view._members if ring_view is not None else _EMPTY_STORE
-        emit_prune = self.emit_prune_events
         for position, entry in enumerate(delta.entries):
             op = entry.operation
             member = op.member
@@ -897,8 +888,7 @@ class TokenRoundKernel:
                         event = self._event(op, node, now, len(ring_view._members))
                 elif guid_value in ring_store:
                     ring_view.remove(guid_value)
-                    if emit_prune:
-                        event = self._event(op, node, now, len(ring_store))
+                    event = self._event(op, node, now, len(ring_store))
             elif guid_value in ring_store:
                 ring_view.remove(guid_value)
                 event = self._event(op, node, now, len(ring_store))
@@ -967,7 +957,7 @@ class TokenRoundKernel:
                     removed = entity.ring_members.remove(member.guid)
                     event = (
                         self._event(op, node, now, len(entity.ring_members))
-                        if removed and self.emit_prune_events
+                        if removed
                         else None
                     )
                 else:
@@ -1010,20 +1000,13 @@ class TokenRoundKernel:
         self.metrics.counter("faults.entity").increment()
         self.trace.record(now, "fault", str(key), "entity crashed")
 
-    def exclude_entity(
-        self,
-        failed: NodeId,
-        repoint_survivors: bool = False,
-        patch_parent_link: bool = False,
-    ) -> LogicalRing:
+    def exclude_entity(self, failed: NodeId) -> LogicalRing:
         """Exclude ``failed`` from its ring and patch the hierarchy around it.
 
-        ``repoint_survivors`` re-installs the surviving members' previous /
-        next / leader pointers from global knowledge (structural driver);
-        the message-passing driver leaves survivors to learn the repaired
-        view from the token (Totem-style) and passes ``False``.
-        ``patch_parent_link`` moves the failed node's slot in its parent's
-        child list to the ring's (new) leader.
+        The surviving members' previous / next / leader pointers are
+        re-installed from global knowledge, child rings of the failed node
+        re-attach to the ring's (new) leader, and the failed node's slot in
+        its parent's child list moves to that leader.
         """
         ring = self.hierarchy.ring_of(failed)
         was_leader = ring.remove_member(failed)
@@ -1032,7 +1015,7 @@ class TokenRoundKernel:
         self.hierarchy.ring_of_node.pop(failed, None)
         self.invalidate_coverage()
 
-        if repoint_survivors and ring.leader is not None:
+        if ring.leader is not None:
             for member in ring.members:
                 self.entity(member).set_ring_pointers(
                     ring_id=ring.ring_id,
@@ -1056,13 +1039,12 @@ class TokenRoundKernel:
 
         # The failed entity's parent loses a child pointer; the ring's (new)
         # leader takes over as that parent's child so the upward path survives.
-        if patch_parent_link:
-            parent = self.hierarchy.parent_node.get(ring.ring_id)
-            if parent is not None and parent in self.entities:
-                self.entities[parent].remove_child(failed)
-                if ring.leader is not None:
-                    self.entities[parent].add_child(ring.leader)
-                    self.entities[ring.leader].set_parent(parent)
+        parent = self.hierarchy.parent_node.get(ring.ring_id)
+        if parent is not None and parent in self.entities:
+            self.entities[parent].remove_child(failed)
+            if ring.leader is not None:
+                self.entities[parent].add_child(ring.leader)
+                self.entities[ring.leader].set_parent(parent)
         return ring
 
     def repair_ring(
@@ -1073,7 +1055,7 @@ class TokenRoundKernel:
         now: float,
     ) -> List[TokenOperation]:
         """Structural local repair: exclude ``failed`` and report the losses."""
-        self.exclude_entity(failed, repoint_survivors=True, patch_parent_link=True)
+        self.exclude_entity(failed)
         failure_source = detector if detector is not None else ring.leader
         ops = self.failure_operations(failed, failure_source)
         self.metrics.counter("repairs.ring").increment()

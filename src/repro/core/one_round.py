@@ -12,10 +12,10 @@ It is the reference implementation used by
 * the :class:`repro.core.simulation.RGBSimulation` facade, which drives it
   from timed mobility / fault events.
 
-The message-passing, latency-aware driver that exercises the transport and
-failure-detection timers lives in :mod:`repro.core.protocol`; both share the
-kernel's round state machine (drain, circulation, notification/ack routing,
-seen-set dedup, batched delta application).
+The message-passing, latency-aware driver that exercises the transport is
+:class:`repro.sim.harness.ScenarioHarness`; both share the kernel's round
+state machine (drain, circulation, notification/ack routing, seen-set dedup,
+batched delta application).
 
 Execution model
 ---------------
@@ -108,7 +108,6 @@ class OneRoundEngine:
             metrics=metrics,
             event_bus=event_bus,
             trace=trace,
-            emit_prune_events=True,
         )
         self.hierarchy = hierarchy
 

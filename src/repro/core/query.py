@@ -13,8 +13,8 @@ The paper distinguishes three membership maintenance schemes:
 * **IMS** (Intermediate Membership Schemes) — membership is maintained at an
   intermediate tier; queries fan out only to that tier's ring leaders.
 
-The query service works against either protocol engine (structural or
-message-passing) through the small :class:`MembershipStore` protocol: it only
+The query service works against either driver's state (the structural
+engine or a kernel) through the small :class:`MembershipStore` protocol: it only
 needs per-entity ring member views and the hierarchy structure.  Query cost is
 reported in logical message hops so the ablation benchmark can compare the
 schemes the way the paper discusses them.
@@ -92,8 +92,7 @@ class MembershipQueryService:
     store:
         A protocol engine exposing ``hierarchy`` and ``entity(node)`` with a
         ``ring_members`` view per entity (both :class:`OneRoundEngine` and
-        :class:`RGBProtocolCluster` qualify — the latter via the adapter
-        below).
+        :class:`repro.core.kernel.TokenRoundKernel` qualify).
     entry_point:
         The network entity the requesting application first contacts
         ("the requesting application tries to find some NE with GID").

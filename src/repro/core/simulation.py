@@ -15,8 +15,10 @@ The facade:
 * generates a 4-tier mobile Internet topology big enough for the requested
   number of access proxies,
 * assembles the ring-based hierarchy over the participating proxies,
-* instantiates either the structural reference engine or the message-passing
-  engine (``engine_mode``),
+* runs either the structural reference engine or, with
+  ``engine_mode="event"``, the event-driven
+  :class:`repro.sim.harness.ScenarioHarness` over that hierarchy (latency,
+  transport, crash detection by a probe token round),
 * exposes the application-facing membership operations (join, leave, handoff,
   member failure, entity crash), membership queries, handoff management,
   partition assessment and the collected metrics.
@@ -27,20 +29,21 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Union
 
-from repro.core.config import ProtocolConfig, SimulationConfig
+from repro.core.config import SimulationConfig
 from repro.core.events import MembershipEventBus
 from repro.core.handoff import HandoffManager, HandoffRecord
-from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
+from repro.core.hierarchy import RingHierarchy
 from repro.core.identifiers import GroupId, NodeId, coerce_guid, coerce_node
+from repro.core.kernel import TokenRoundKernel
 from repro.core.member import MemberInfo
 from repro.core.membership import MembershipEvent, MembershipView
 from repro.core.one_round import OneRoundEngine, PropagationReport
 from repro.core.partition import PartitionManager, PartitionReport
-from repro.core.protocol import RGBProtocolCluster
-from repro.core.query import MembershipQueryService, MembershipScheme, QueryResult
+from repro.core.query import MembershipQueryService, MembershipScheme, MembershipStore, QueryResult
 from repro.core.ring import LogicalRing
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import FaultInjector
+from repro.sim.faults import FaultEvent, FaultInjector, FaultKind
+from repro.sim.harness import HarnessConfig, ScenarioHarness
 from repro.sim.mobility import AttachmentEvent, HandoffEvent, MobilityModel, MobilityTrace
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import MetricRegistry
@@ -55,7 +58,13 @@ class SimulationNotBuilt(RuntimeError):
 
 
 class RGBSimulation:
-    """End-to-end packaged simulation of the RGB protocol."""
+    """End-to-end packaged simulation of the RGB protocol.
+
+    ``protocol`` holds the membership state either way: the structural
+    :class:`OneRoundEngine`, or in event mode the ``harness``'s kernel.  In
+    event mode the facade also adopts the harness's engine, metrics, trace,
+    event bus, transport and fault injector.
+    """
 
     def __init__(self, config: Optional[SimulationConfig] = None) -> None:
         self.config = config if config is not None else SimulationConfig()
@@ -66,7 +75,9 @@ class RGBSimulation:
         self.engine = SimulationEngine()
         self.topology: Optional[GeneratedTopology] = None
         self.hierarchy: Optional[RingHierarchy] = None
-        self.protocol: Optional[Union[OneRoundEngine, RGBProtocolCluster]] = None
+        self.protocol: Optional[MembershipStore] = None
+        self.harness: Optional[ScenarioHarness] = None
+        self._kernel: Optional[TokenRoundKernel] = None
         self.transport: Optional[Transport] = None
         self.faults: Optional[FaultInjector] = None
         self.partition_manager: Optional[PartitionManager] = None
@@ -102,39 +113,42 @@ class RGBSimulation:
         self.partition_manager = PartitionManager(self.hierarchy)
 
         if self.config.engine_mode == "event":
-            self.transport = Transport(
-                self.engine,
-                self.topology.network,
-                self.streams,
-                metrics=self.metrics,
-                trace=self.trace,
-            )
-            self.protocol = RGBProtocolCluster(
+            harness = ScenarioHarness(
+                HarnessConfig(
+                    ring_size=self.config.ring_size,
+                    height=self.hierarchy.height,
+                    seed=self.config.seed,
+                    protocol=self.config.protocol,
+                    trace_enabled=self.config.trace_enabled,
+                ),
                 hierarchy=self.hierarchy,
-                engine=self.engine,
-                network=self.topology.network,
-                transport=self.transport,
-                config=self.config.protocol,
-                metrics=self.metrics,
-                event_bus=self.event_bus,
-                trace=self.trace,
             )
-            self.faults = FaultInjector(
-                self.engine,
-                self.topology.network,
-                self.streams,
-                metrics=self.metrics,
-                trace=self.trace,
+            self.harness = harness
+            self.engine = harness.engine
+            self.metrics = harness.metrics
+            self.trace = harness.trace
+            self.event_bus = harness.event_bus
+            self.transport = harness.transport
+            self.faults = harness.faults
+            self.protocol = harness.kernel
+            self._kernel = harness.kernel
+            self._handoff_manager = HandoffManager(
+                harness.kernel,
+                capture=lambda guid, _old, new, _now: harness.capture_handoff(
+                    str(guid), str(new)
+                ),
             )
         else:
-            self.protocol = OneRoundEngine(
+            engine = OneRoundEngine(
                 hierarchy=self.hierarchy,
                 config=self.config.protocol,
                 metrics=self.metrics,
                 event_bus=self.event_bus,
                 trace=self.trace,
             )
-        self._handoff_manager = HandoffManager(self.protocol)
+            self.protocol = engine
+            self._kernel = engine.kernel
+            self._handoff_manager = HandoffManager(engine)
         self._built = True
 
         # Pre-attach the configured number of hosts per access proxy.
@@ -149,7 +163,6 @@ class RGBSimulation:
         """Rings over exactly the participating access proxies."""
         assert self.topology is not None
         arch = self.topology.architecture
-        builder = HierarchyBuilder(self.config.group_id)
         hierarchy = RingHierarchy(group=GroupId(self.config.group_id))
         hierarchy.tier_labels.update(
             {1: "Access Proxy Tier (APT)", 2: "Access Gateway Tier (AGT)", 3: "Border Router Tier (BRT)"}
@@ -186,7 +199,6 @@ class RGBSimulation:
             hierarchy.add_ring(ap_ring, parent=NodeId(ag))
 
         hierarchy.validate()
-        del builder  # builder only supplies group coercion today; kept for parity
         return hierarchy
 
     def _require_built(self) -> None:
@@ -198,11 +210,10 @@ class RGBSimulation:
     # ------------------------------------------------------------------
 
     @property
-    def kernel(self):
+    def kernel(self) -> TokenRoundKernel:
         """The shared token-round kernel behind whichever engine is active."""
         self._require_built()
-        assert self.protocol is not None
-        return self.protocol.kernel
+        return self._kernel
 
     def access_proxies(self) -> List[str]:
         self._require_built()
@@ -216,7 +227,7 @@ class RGBSimulation:
 
     @property
     def now(self) -> float:
-        if self.config.engine_mode == "event":
+        if self.harness is not None:
             return self.engine.now
         return self._now
 
@@ -240,21 +251,24 @@ class RGBSimulation:
         ap_index: Optional[int] = None,
         ap_id: Optional[str] = None,
         guid: Optional[str] = None,
-    ) -> MemberInfo:
-        """Join a new mobile host at an access proxy; returns its member record."""
+    ) -> Optional[MemberInfo]:
+        """Join a new mobile host at an access proxy; returns its member record.
+
+        In event mode a join at a crashed proxy is skipped (counted as
+        ``harness.captures_skipped``) and returns None; the structural engine
+        raises :class:`repro.core.kernel.ProtocolError` instead.
+        """
         self._require_built()
         ap = self._pick_ap(ap_index, ap_id)
         if guid is None:
             guid = f"member-{self._member_counter:06d}"
             self._member_counter += 1
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            op = self.protocol.member_join(ap, guid, now=self._now)
-            member = op.member
+        if self.harness is not None:
+            member = self.harness.capture_join(str(ap), guid)
         else:
-            member = self.protocol.join_member(ap, guid)
-        assert member is not None
-        self._member_location[str(member.guid)] = ap
+            member = self.protocol.member_join(ap, guid, now=self._now).member
+        if member is not None:
+            self._member_location[str(member.guid)] = ap
         return member
 
     def join_members(
@@ -262,7 +276,7 @@ class RGBSimulation:
         count: int,
         ap_ids: Optional[List[str]] = None,
         guid_prefix: str = "member",
-    ) -> List[MemberInfo]:
+    ) -> List[Optional[MemberInfo]]:
         """Capture ``count`` joins before a single propagation (batched path).
 
         The joins are spread round-robin over ``ap_ids`` (all participating
@@ -276,7 +290,7 @@ class RGBSimulation:
         aps = ap_ids if ap_ids is not None else self.access_proxies()
         if not aps:
             raise ValueError("no access proxies to join at")
-        members: List[MemberInfo] = []
+        members: List[Optional[MemberInfo]] = []
         for index in range(count):
             guid = f"{guid_prefix}-{self._member_counter:06d}"
             self._member_counter += 1
@@ -289,11 +303,10 @@ class RGBSimulation:
         ap = self._member_location.get(str(coerce_guid(guid)))
         if ap is None:
             raise ValueError(f"unknown member {guid!r}")
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            self.protocol.member_leave(ap, guid, now=self._now)
+        if self.harness is not None:
+            self.harness.capture_leave(str(coerce_guid(guid)))
         else:
-            self.protocol.leave_member(ap, guid)
+            self.protocol.member_leave(ap, guid, now=self._now)
         self._member_location.pop(str(coerce_guid(guid)), None)
 
     def fail_member(self, guid: str) -> None:
@@ -302,11 +315,10 @@ class RGBSimulation:
         ap = self._member_location.get(str(coerce_guid(guid)))
         if ap is None:
             raise ValueError(f"unknown member {guid!r}")
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            self.protocol.member_failure(ap, guid, now=self._now)
+        if self.harness is not None:
+            self.harness.capture_member_failure(str(coerce_guid(guid)))
         else:
-            self.protocol.fail_member(ap, guid)
+            self.protocol.member_failure(ap, guid, now=self._now)
         self._member_location.pop(str(coerce_guid(guid)), None)
 
     def handoff_member(self, guid: str, to_ap: str) -> HandoffRecord:
@@ -322,13 +334,18 @@ class RGBSimulation:
         return record
 
     def crash_entity(self, node_id: str) -> None:
-        """Crash a network entity (access proxy, gateway or border router)."""
+        """Crash a network entity (access proxy, gateway or border router).
+
+        In event mode the harness's fault injector applies the crash now and
+        a probe token round in the victim's ring detects and repairs it.
+        """
         self._require_built()
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            self.protocol.fail_entity(node_id, now=self._now)
+        if self.harness is not None:
+            self.harness.faults.inject_now(
+                FaultEvent(time=self.engine.now, kind=FaultKind.CRASH, target=node_id)
+            )
         else:
-            self.protocol.crash_entity(node_id)
+            self.protocol.fail_entity(node_id, now=self._now)
 
     # ------------------------------------------------------------------
     # execution
@@ -338,19 +355,17 @@ class RGBSimulation:
         """Propagate all pending membership changes.
 
         Returns the :class:`PropagationReport` (structural mode) or the number
-        of dispatched events (event mode).
+        of events dispatched by this call (event mode, which runs the harness
+        until quiescence or ``max_time``).
         """
         self._require_built()
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            report = self.protocol.propagate(now=self._now)
-            self._now += 1.0
-            return report
-        if max_time is None and self.config.protocol.heartbeat_interval is not None:
-            # Heartbeat rounds reschedule themselves forever, so an unbounded
-            # run would never drain the event queue; give it a generous window.
-            max_time = self.engine.now + 20.0 * self.config.protocol.heartbeat_interval
-        return self.engine.run(until=max_time)
+        if self.harness is not None:
+            before = self.engine.dispatched_events
+            self.harness.run(until=max_time)
+            return self.engine.dispatched_events - before
+        report = self.protocol.propagate(now=self._now)
+        self._now += 1.0
+        return report
 
     def apply_mobility_trace(self, trace: MobilityTrace) -> Dict[str, int]:
         """Replay a mobility trace as join / handoff / leave operations."""
@@ -435,16 +450,11 @@ class RGBSimulation:
     def partition_report(self) -> PartitionReport:
         """Assess the current partitioning of the hierarchy."""
         self._require_built()
-        assert self.partition_manager is not None and self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            operational = self.protocol.operational_entities()
+        assert self.partition_manager is not None
+        if self.harness is not None:
+            operational = self.harness.operational_entities()
         else:
-            assert self.topology is not None
-            operational = [
-                NodeId(n.node_id)
-                for n in self.topology.network.nodes()
-                if n.is_operational and self.hierarchy is not None and self.hierarchy.has_node(n.node_id)
-            ]
+            operational = self.protocol.operational_entities()
         return self.partition_manager.assess(operational, now=self.now)
 
     def metric_snapshot(self) -> Dict[str, object]:

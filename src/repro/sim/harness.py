@@ -417,13 +417,22 @@ class ScenarioHarness:
     hierarchy shape; the harness then rehydrates the frozen topology instead
     of rebuilding it — observable behaviour is bit-identical either way
     (pinned by ``tests/test_bulk_build.py``).
+
+    ``hierarchy`` (optional, exclusive with ``snapshot``) runs the harness
+    over a prebuilt hierarchy of any shape instead of the regular
+    ``ring_size ** height`` one; the network and entity states derive from
+    it the same way.  The :class:`repro.core.simulation.RGBSimulation`
+    facade's event mode passes its own hierarchy here.
     """
 
     def __init__(
         self,
         config: Optional[HarnessConfig] = None,
         snapshot: Optional[TopologySnapshot] = None,
+        hierarchy: Optional[RingHierarchy] = None,
     ) -> None:
+        if snapshot is not None and hierarchy is not None:
+            raise HarnessError("pass either a snapshot or a hierarchy, not both")
         self.config = config if config is not None else HarnessConfig()
         cfg = self.config
         self.streams = RandomStreams(cfg.seed)
@@ -440,7 +449,7 @@ class ScenarioHarness:
                         f"not match config r={cfg.ring_size} h={cfg.height}"
                     )
                 hierarchy = pickle.loads(snapshot.payload)
-            else:
+            elif hierarchy is None:
                 hierarchy = HierarchyBuilder("harness").regular(
                     ring_size=cfg.ring_size, height=cfg.height
                 )
@@ -588,21 +597,21 @@ class ScenarioHarness:
             guid = f"member-{self._member_counter:06d}"
             self._member_counter += 1
         self.engine.schedule_at(
-            time, lambda _e: self._capture_join(ap, guid), label=f"join:{guid}"
+            time, lambda _e: self.capture_join(ap, guid), label=f"join:{guid}"
         )
         return guid
 
     def schedule_leave(self, time: float, guid: str) -> None:
-        self.engine.schedule_at(time, lambda _e: self._capture_leave(guid), label=f"leave:{guid}")
+        self.engine.schedule_at(time, lambda _e: self.capture_leave(guid), label=f"leave:{guid}")
 
     def schedule_failure(self, time: float, guid: str) -> None:
         self.engine.schedule_at(
-            time, lambda _e: self._capture_member_failure(guid), label=f"fail:{guid}"
+            time, lambda _e: self.capture_member_failure(guid), label=f"fail:{guid}"
         )
 
     def schedule_handoff(self, time: float, guid: str, to_ap: str) -> None:
         self.engine.schedule_at(
-            time, lambda _e: self._capture_handoff(guid, to_ap), label=f"handoff:{guid}"
+            time, lambda _e: self.capture_handoff(guid, to_ap), label=f"handoff:{guid}"
         )
 
     def schedule_crash(self, time: float, node_id: str) -> None:
@@ -648,6 +657,10 @@ class ScenarioHarness:
     # ------------------------------------------------------------------
     # capture handlers (run at their simulated times)
     # ------------------------------------------------------------------
+    #
+    # Each capture enqueues one operation at ``engine.now`` and returns the
+    # captured member record, or None (counted as ``harness.captures_skipped``)
+    # when the access proxy has crashed or left the hierarchy.
 
     def _capturable(self, ap: "NodeId | str") -> Optional[NodeId]:
         key = coerce_node(ap)
@@ -656,45 +669,46 @@ class ScenarioHarness:
             return None
         return key
 
-    def _capture_join(self, ap: str, guid: str) -> None:
+    def _capture(self, key: NodeId, op: TokenOperation) -> Optional[MemberInfo]:
+        self.kernel.capture(key, op, self.engine.now)
+        self._schedule_round(self.hierarchy.ring_of(key).ring_id)
+        return op.member
+
+    def capture_join(self, ap: str, guid: str) -> Optional[MemberInfo]:
         key = self._capturable(ap)
         if key is None:
-            return
+            return None
         op = self.kernel.make_join_op(key, guid)
-        self.kernel.capture(key, op, self.engine.now)
         self._member_location[guid] = key
-        self._schedule_round(self.hierarchy.ring_of(key).ring_id)
+        return self._capture(key, op)
 
-    def _capture_leave(self, guid: str) -> None:
+    def capture_leave(self, guid: str) -> Optional[MemberInfo]:
         location = self._member_location.get(guid)
         key = self._capturable(location) if location is not None else None
         if key is None:
-            return
+            return None
         op = self.kernel.make_leave_op(key, guid)
-        self.kernel.capture(key, op, self.engine.now)
         self._member_location.pop(guid, None)
-        self._schedule_round(self.hierarchy.ring_of(key).ring_id)
+        return self._capture(key, op)
 
-    def _capture_member_failure(self, guid: str) -> None:
+    def capture_member_failure(self, guid: str) -> Optional[MemberInfo]:
         location = self._member_location.get(guid)
         key = self._capturable(location) if location is not None else None
         if key is None:
-            return
+            return None
         op = self.kernel.make_failure_op(key, guid)
-        self.kernel.capture(key, op, self.engine.now)
         self._member_location.pop(guid, None)
-        self._schedule_round(self.hierarchy.ring_of(key).ring_id)
+        return self._capture(key, op)
 
-    def _capture_handoff(self, guid: str, to_ap: str) -> None:
+    def capture_handoff(self, guid: str, to_ap: str) -> Optional[MemberInfo]:
         old = self._member_location.get(guid)
         new = self._capturable(to_ap)
         if old is None or new is None or old == new:
             self.metrics.counter("harness.captures_skipped").increment()
-            return
+            return None
         op = self.kernel.make_handoff_op(guid, old, new)
-        self.kernel.capture(new, op, self.engine.now)
         self._member_location[guid] = new
-        self._schedule_round(self.hierarchy.ring_of(new).ring_id)
+        return self._capture(new, op)
 
     # ------------------------------------------------------------------
     # message and fault handling

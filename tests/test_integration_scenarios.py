@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ProtocolConfig, SimulationConfig
-from repro.core.protocol import _decode_member, _decode_op, _encode_member, _encode_op
 from repro.core.query import MembershipScheme
 from repro.core.simulation import RGBSimulation
 from repro.workloads.scenarios import run_churn_scenario, run_conferencing_scenario
@@ -65,6 +64,22 @@ class TestEngineEquivalence:
         structural = self._run("structural")
         event = self._run("event")
         assert structural.global_membership().guids() == event.global_membership().guids()
+
+    def test_fig3_single_join_costs_match(self):
+        """Fig. 3 single join (25 proxies, r=5): both drivers count the same work."""
+        names = ("rounds.completed", "hops.token", "hops.notify", "hops.ack")
+        counts = []
+        for mode in ("structural", "event"):
+            sim = RGBSimulation(
+                SimulationConfig(num_aps=25, ring_size=5, hosts_per_ap=0, engine_mode=mode)
+            ).build()
+            sim.join_member(ap_index=0, guid="alice")
+            sim.run_until_quiescent()
+            assert "alice" in sim.global_membership()
+            counts.append({name: sim.metrics.counter(name).value for name in names})
+        structural, event = counts
+        assert structural == event
+        assert structural["rounds.completed"] > 0
 
     def test_same_member_location_after_handoff(self):
         structural = self._run("structural")
@@ -136,14 +151,23 @@ class TestCrashRecoveryEndToEnd:
         assert sim.partition_report().count == 1
 
 
+
 class TestWireEncoding:
-    """The message-passing engine's operation encoding round-trips."""
+    """Members and token operations round-trip through the runtime wire codec."""
+
+    @staticmethod
+    def _round_trip(value):
+        from repro.runtime.wire import MSG_NOTIFY, WireCodec
+
+        data = WireCodec(shard_id=0).encode(MSG_NOTIFY, {"ops": (value,)}, dest_key=1)
+        (decoded,) = WireCodec.decode(data).payload["ops"]
+        return decoded
 
     def test_member_round_trip(self):
         from tests.test_core_datastructures import make_member
 
         member = make_member("alice", ap="ap-7")
-        assert _decode_member(_encode_member(member)) == member
+        assert self._round_trip(member) == member
 
     def test_operation_round_trip(self):
         from tests.test_core_datastructures import make_member
@@ -157,8 +181,7 @@ class TestWireEncoding:
             previous_ap=NodeId("ap-1"),
             sequence=42,
         )
-        decoded = _decode_op(_encode_op(op))
-        assert decoded == op
+        assert self._round_trip(op) == op
 
     def test_ne_operation_round_trip(self):
         from repro.core.identifiers import NodeId
@@ -170,5 +193,4 @@ class TestWireEncoding:
             entity=NodeId("ap-9"),
             sequence=7,
         )
-        decoded = _decode_op(_encode_op(op))
-        assert decoded == op
+        assert self._round_trip(op) == op

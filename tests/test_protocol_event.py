@@ -1,10 +1,11 @@
-"""Tests for the message-passing protocol engine (tokens over the transport)."""
+"""Tests for the facade's event mode (kernel rounds over the transport)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config import ProtocolConfig, SimulationConfig
+from repro.core.kernel import ProtocolError
 from repro.core.simulation import RGBSimulation
 
 
@@ -47,7 +48,7 @@ class TestEventJoinLeave:
         event_sim.join_member(ap_index=0)
         event_sim.run_until_quiescent()
         assert event_sim.metrics.counter("transport.sent").value > 0
-        assert event_sim.metrics.counter("protocol.rounds_completed").value >= 1
+        assert event_sim.metrics.counter("rounds.completed").value >= 1
         assert event_sim.engine.now > 0.0
 
     def test_views_consistent_across_ring_members(self, event_sim):
@@ -104,26 +105,39 @@ class TestEventFailureDetection:
         sim = build_event_sim()
         aps = sim.access_proxies()
         sim.crash_entity(aps[0])
-        node = sim.protocol.nodes[next(iter(sim.protocol.nodes))]
-        # join at a crashed proxy is silently ignored by that node
-        sim.protocol.join_member(aps[0], "ghost")
+        # A join at a crashed proxy is skipped, and the skip is counted.
+        assert sim.join_member(ap_id=aps[0], guid="ghost") is None
         sim.run_until_quiescent()
         assert "ghost" not in sim.global_membership()
-        del node
+        assert sim.metrics.counter("harness.captures_skipped").value == 1
+
+    def test_handoff_to_crashed_proxy_is_refused(self):
+        sim = build_event_sim()
+        aps = sim.access_proxies()
+        sim.join_member(ap_id=aps[0], guid="alice")
+        sim.run_until_quiescent()
+        sim.crash_entity(aps[6])
+        sim.run_until_quiescent()
+        with pytest.raises(ProtocolError, match="not captured"):
+            sim.handoff_member("alice", aps[6])
+        assert sim.handoff_statistics()["handoffs"] == 0
+        # The member stays where it was, so its leave still lands.
+        sim.leave_member("alice")
+        sim.run_until_quiescent()
+        assert "alice" not in sim.global_membership()
 
     def test_heartbeat_rounds_detect_idle_ring_failures(self):
-        sim = build_event_sim(heartbeat_interval=200.0)
+        sim = build_event_sim()
         aps = sim.access_proxies()
         sim.join_member(ap_id=aps[0], guid="alice")
         sim.run_until_quiescent()
         ring = sim.ring_of(aps[0])
         victim = next(str(n) for n in ring.members if n != ring.leader)
         sim.crash_entity(victim)
-        # No new membership traffic: only heartbeats can notice the crash.
-        sim.run_until_quiescent()
+        # No new membership traffic: only the probe round can notice the crash.
         sim.run_until_quiescent()
         assert victim not in [str(n) for n in sim.ring_of(aps[0]).members]
-        assert sim.metrics.counter("protocol.heartbeat_rounds").value > 0
+        assert sim.metrics.counter("repairs.ring").value == 1
 
     def test_token_retransmissions_counted_on_timeout(self):
         sim = build_event_sim()
@@ -134,8 +148,9 @@ class TestEventFailureDetection:
         sim.join_member(ap_id=holder, guid="alice")
         sim.crash_entity(victim)
         sim.run_until_quiescent()
-        assert sim.metrics.counter("protocol.token_retransmissions").value > 0
-        assert sim.metrics.counter("protocol.ring_repairs").value >= 1
+        # The holder's token to its dead successor is dropped at the victim.
+        assert sim.metrics.counter("transport.dropped.destination-failed").value >= 1
+        assert sim.metrics.counter("repairs.ring").value >= 1
         assert "alice" in sim.global_membership()
 
 
@@ -145,15 +160,15 @@ class TestEventConfigurationVariants:
         sim.join_member(ap_index=0, guid="alice")
         sim.run_until_quiescent()
         assert "alice" in sim.global_membership()
-        notify_child = sim.metrics.counters.get("protocol.notify_child")
-        assert notify_child is None or notify_child.value == 0
+        # Upward notifications only: one per tier boundary, none downward.
+        assert sim.metrics.counter("hops.notify").value == sim.hierarchy.height - 1
 
     def test_without_holder_acks(self):
         sim = build_event_sim(holder_ack_enabled=False)
         sim.join_member(ap_index=0, guid="alice")
         sim.run_until_quiescent()
-        acks = sim.metrics.counters.get("protocol.holder_acks_received")
-        assert acks is None or acks.value == 0
+        assert sim.metrics.counter("hops.ack").value == 0
+        assert sim.metrics.counter("transport.sent.rgb.holder-ack").value == 0
         assert "alice" in sim.global_membership()
 
     def test_aggregation_reduces_rounds_for_bursts(self):
@@ -165,8 +180,8 @@ class TestEventConfigurationVariants:
                 sim.join_member(ap_id=ap, guid=f"m{i}")
             sim.run_until_quiescent()
             assert len(sim.global_membership()) == 6
-        agg_rounds = aggregated.metrics.counter("protocol.rounds_completed").value
-        flat_rounds = flat.metrics.counter("protocol.rounds_completed").value
+        agg_rounds = aggregated.metrics.counter("rounds.completed").value
+        flat_rounds = flat.metrics.counter("rounds.completed").value
         assert agg_rounds <= flat_rounds
 
     def test_deterministic_given_seed(self):
@@ -179,7 +194,7 @@ class TestEventConfigurationVariants:
             results.append(
                 (
                     sim.engine.dispatched_events,
-                    sim.metrics.counter("protocol.token_hops").value,
+                    sim.metrics.counter("hops.token").value,
                     tuple(sim.global_membership().guids()),
                 )
             )
